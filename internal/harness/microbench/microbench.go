@@ -68,22 +68,51 @@ func Run(specs []Spec, progress func(Result)) []Result {
 
 // RuntimeSpecs is the goroutine-barrier half of the suite: the simulated
 // contended-arrival acceptance pair (cycles/round under a modeled 64-CPU
-// coherence protocol), then full-round rendezvous costs for the lock-free
-// flat word and the combining tree against a mutex-arrival baseline with
-// the pre-rewrite shape.
+// coherence protocol), then full-round rendezvous costs. The lock-free
+// flat word runs against a mutex-arrival baseline with the pre-rewrite
+// shape over a sweep of GOMAXPROCS {1, 2, NumCPU} × parties {2, 8, 64},
+// so every parties-per-P ratio the spinner gauge must handle is on
+// record; the combining tree runs at the process's GOMAXPROCS.
 func RuntimeSpecs() []Spec {
-	return []Spec{
+	specs := []Spec{
 		{"BarrierArrival/mutex-flat-64", SimulatedArrival(64, 0)},
 		{"BarrierArrival/tree-radix4-64", SimulatedArrival(64, 4)},
 		{"BarrierArrival/tree-radix8-64", SimulatedArrival(64, 8)},
-		{"BarrierRendezvous/mutex-baseline-8", MutexBaseline(8)},
-		{"BarrierRendezvous/lockfree-flat-8", Flat(8)},
-		{"BarrierRendezvous/mutex-baseline-64", MutexBaseline(64)},
-		{"BarrierRendezvous/lockfree-flat-64", Flat(64)},
-		{"BarrierRendezvous/tree-radix8-64", Tree(64, 8)},
-		{"BarrierRendezvous/tree-radix8-256", Tree(256, 8)},
-		{"Predict/warm", PredictWarm()},
-		{"Predict/update", PredictUpdate()},
+	}
+	for _, procs := range sweepProcs() {
+		for _, parties := range []int{2, 8, 64} {
+			at := "BarrierRendezvous/procs-" + strconv.Itoa(procs) + "/"
+			n := strconv.Itoa(parties)
+			specs = append(specs,
+				Spec{at + "mutex-baseline-" + n, AtProcs(procs, MutexBaseline(parties))},
+				Spec{at + "lockfree-flat-" + n, AtProcs(procs, Flat(parties))})
+		}
+	}
+	return append(specs,
+		Spec{"BarrierRendezvous/tree-radix8-64", Tree(64, 8)},
+		Spec{"BarrierRendezvous/tree-radix8-256", Tree(256, 8)},
+		Spec{"Predict/warm", PredictWarm()},
+		Spec{"Predict/update", PredictUpdate()},
+	)
+}
+
+// sweepProcs is the rendezvous sweep's GOMAXPROCS axis: 1, 2 and the
+// host's CPU count, each once.
+func sweepProcs() []int {
+	procs := []int{1, 2}
+	if n := runtime.NumCPU(); n > 2 {
+		procs = append(procs, n)
+	}
+	return procs
+}
+
+// AtProcs runs bench with GOMAXPROCS set to procs and restores it
+// afterwards. The barrier under test is built inside bench, so it caches
+// procs at New like any barrier built on such a process.
+func AtProcs(procs int, bench func(*testing.B)) func(*testing.B) {
+	return func(b *testing.B) {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+		bench(b)
 	}
 }
 

@@ -453,7 +453,6 @@ func (s *Server) handleRegister(sess *session, f Register) {
 		return
 	}
 	s.touch(f.ClientID)
-	now := s.opts.Now()
 
 	bs, _, _ := s.barriers.GetOrCreate(f.Barrier, func() *barrierState {
 		return &barrierState{
@@ -467,6 +466,11 @@ func (s *Server) handleRegister(sess *session, f Register) {
 		}
 	})
 	bs.mu.Lock()
+	// Read the clock under the barrier lock, so arrivals are stamped in
+	// the order they are counted: a registration that stamped before the
+	// lock could complete an epoch with an instant earlier than a peer's
+	// arrival.
+	now := s.opts.Now()
 	if bs.parties != f.Parties {
 		bs.mu.Unlock()
 		ef := ErrorFrame{Code: ErrCodeParties, Barrier: f.Barrier, Msg: fmt.Sprintf(
@@ -628,11 +632,18 @@ func (s *Server) releaseLocked(bs *barrierState, now time.Time) []send {
 	payload := rel.Encode()
 	s.recordHistory(bs, payload)
 
+	// A clock that steps backwards (Options.Now, or a wall-clock step)
+	// can make an interval negative; such a sample is skipped, never fed
+	// to the predictor, which rejects it by panicking.
 	if !bs.lastRelease.IsZero() {
-		bs.table.Update(0, sim.FromDuration(now.Sub(bs.lastRelease)))
+		if d := now.Sub(bs.lastRelease); d >= 0 {
+			bs.table.Update(0, sim.FromDuration(d))
+		}
 	}
 	for _, a := range bs.arrivals {
-		bs.table.Update(pcClient(a.clientID), sim.FromDuration(now.Sub(a.arrivedAt)))
+		if d := now.Sub(a.arrivedAt); d >= 0 {
+			bs.table.Update(pcClient(a.clientID), sim.FromDuration(d))
+		}
 	}
 	bs.lastRelease = now
 

@@ -396,3 +396,64 @@ func TestStallWatchdogAdvises(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// A clock that steps backwards must never panic the server: every
+// interval it makes negative — release to release, and arrival to
+// release — is skipped instead of reaching the predictor, and the
+// barrier keeps releasing.
+func TestBackwardsClockKeepsServing(t *testing.T) {
+	var mu sync.Mutex
+	clock := time.Now()
+	backwards := func() time.Time {
+		mu.Lock()
+		defer mu.Unlock()
+		clock = clock.Add(-time.Millisecond)
+		return clock
+	}
+	srv, l := startServer(t, remote.Options{Lease: 5 * time.Second, Now: backwards})
+
+	conns := make([]net.Conn, 2)
+	for i := range conns {
+		c, err := l.Dial(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { c.Close() })
+		conns[i] = c
+	}
+	// await reads conn's frames until one of type ft arrives.
+	await := func(conn net.Conn, ft byte) []byte {
+		t.Helper()
+		for {
+			p, err := remote.ReadFrame(conn)
+			if err != nil {
+				t.Fatalf("server stopped serving: %v", err)
+			}
+			if p[0] == ft {
+				return p
+			}
+		}
+	}
+	const rounds = 10
+	for r := 1; r <= rounds; r++ {
+		for i, conn := range conns {
+			reg := remote.Register{ClientID: fmt.Sprintf("c%d", i), Barrier: "b", Parties: 2, Nonce: uint64(r)}
+			if err := remote.WriteFrame(conn, reg.Encode()); err != nil {
+				t.Fatal(err)
+			}
+			await(conn, remote.FrameDirective)
+		}
+		for _, conn := range conns {
+			rel, err := remote.DecodeRelease(await(conn, remote.FrameRelease))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rel.Broken || rel.Epoch != uint64(r) {
+				t.Fatalf("round %d: release %+v", r, rel)
+			}
+		}
+	}
+	if st := srv.Stats(); st.Releases != rounds || st.Breaks != 0 {
+		t.Fatalf("stats %+v, want %d releases and no breaks", st, rounds)
+	}
+}

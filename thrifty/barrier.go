@@ -84,7 +84,9 @@ type Tier int
 
 const (
 	// TierSpin busy-waits, checking the round channel; cheapest to leave,
-	// most expensive to hold.
+	// most expensive to hold. Only waiters the process-wide spinner gauge
+	// admits spin (see trySpin); a turned-away waiter parks and counts as
+	// TierPark.
 	TierSpin Tier = iota
 	// TierYield loops over runtime.Gosched, sharing the processor.
 	TierYield
@@ -321,10 +323,13 @@ type Barrier struct {
 	// whose gen matches it. An arriver loads cur first, then state: a
 	// successful arrival CAS with rd.gen == stateGen pins rd to the
 	// generation it joined.
-	state       atomic.Uint64
-	cur         atomic.Pointer[round]
-	lastRelease atomic.Pointer[time.Time] // nil = discard the next interval
-	generation  atomic.Uint64             // releases completed
+	state atomic.Uint64
+	cur   atomic.Pointer[round]
+	// lastRelease is the stamp of the last release (see stamp); 0 means
+	// the next interval is discarded.
+	lastRelease atomic.Int64
+	base        time.Time     // the instant stamps count from, 1ns before New
+	generation  atomic.Uint64 // releases completed
 	breaks      atomic.Uint64
 	stalls      atomic.Uint64
 
@@ -334,11 +339,10 @@ type Barrier struct {
 	// and watchdog arm/stop. The arrival fast path never takes it.
 	mu sync.Mutex
 
-	// spinnable records whether busy-waiting can ever make progress:
-	// with GOMAXPROCS=1 a spinner just blocks the releaser until the
-	// scheduler preempts it (the same condition sync.Mutex's spin guard
-	// checks), so the spin tier degrades to yielding.
-	spinnable bool
+	// procs is GOMAXPROCS at New, the capacity trySpin admits spinners
+	// against. It is cached because runtime.GOMAXPROCS(0) takes the
+	// scheduler lock, which the wait path must not.
+	procs int
 }
 
 // New creates a barrier for parties goroutines. It panics if parties < 1.
@@ -347,13 +351,14 @@ func New(parties int, opts Options) *Barrier {
 		panic(fmt.Sprintf("thrifty: parties %d < 1", parties))
 	}
 	opts.fill()
-	// lastRelease stays nil until the first release: the interval between
+	// lastRelease stays 0 until the first release: the interval between
 	// construction and the first episode absorbs arbitrary setup time and
 	// must not seed the predictor, so the first measured BIT is discarded.
 	b := &Barrier{
-		parties:   parties,
-		opts:      opts,
-		spinnable: runtime.GOMAXPROCS(0) > 1,
+		parties: parties,
+		opts:    opts,
+		base:    opts.Now().Add(-time.Nanosecond),
+		procs:   runtime.GOMAXPROCS(0),
 	}
 	// The tree must exist before the first round: newRound sizes the
 	// sharded broadcast channels off the leaf count.
@@ -399,6 +404,12 @@ func closeRound(rd *round) {
 	}
 	close(rd.ch)
 }
+
+// stamp encodes t for lastRelease as nanoseconds since b.base, so no
+// instant from construction on encodes as 0, the discard marker. An int64
+// stamp keeps the release path free of the heap allocation a published
+// time.Time would cost every round.
+func (b *Barrier) stamp(t time.Time) int64 { return int64(t.Sub(b.base)) }
 
 // Parties reports the number of participating goroutines.
 func (b *Barrier) Parties() int { return b.parties }
@@ -539,14 +550,14 @@ func (b *Barrier) arrive() (rd *round, leaf int, last bool, err error) {
 // external wake-up. The claim CAS already ended the generation, so
 // everything here races only with observers.
 func (b *Barrier) finishRelease(rd *round, s *site, now time.Time) {
-	// Measure the release-to-release interval. A nil lastRelease marks an
-	// interval that must be discarded: the construction-to-first-release
+	// Measure the release-to-release interval. A zero lastRelease marks
+	// an interval that must be discarded: the construction-to-first-release
 	// one, and any interval spanning a break or Reset.
-	if prev := b.lastRelease.Load(); prev != nil && !s.disabled.Load() {
-		s.bit.Store(int64(now.Sub(*prev)))
+	release := b.stamp(now)
+	if prev := b.lastRelease.Load(); prev != 0 && !s.disabled.Load() {
+		s.bit.Store(release - prev)
 	}
-	release := now
-	b.lastRelease.Store(&release)
+	b.lastRelease.Store(release)
 	b.generation.Add(1)
 	// Publish the next round before waking the old one's waiters, so a
 	// woken waiter that immediately re-arrives finds cur already in sync
@@ -601,9 +612,9 @@ func (b *Barrier) beginWait(key uintptr) (arrivalPlan, error) {
 	// racing these reads can at worst misplace one tier choice, never
 	// correctness.
 	if v := s.bit.Load(); v > 0 && !s.disabled.Load() {
-		if prev := b.lastRelease.Load(); prev != nil {
+		if prev := b.lastRelease.Load(); prev != 0 {
 			plan.bit = time.Duration(v)
-			plan.predictedRelease = prev.Add(plan.bit)
+			plan.predictedRelease = b.base.Add(time.Duration(prev) + plan.bit)
 			plan.predictedStall = plan.predictedRelease.Sub(now)
 			plan.havePred = plan.predictedStall > 0
 		}
@@ -614,7 +625,6 @@ func (b *Barrier) beginWait(key uintptr) (arrivalPlan, error) {
 		}
 	}
 	plan.tier = b.selectTier(plan.predictedStall, plan.havePred)
-	s.tiers[plan.tier].Add(1)
 	return plan, nil
 }
 
@@ -648,20 +658,23 @@ func (b *Barrier) waitSite(ctx context.Context, key uintptr) error {
 	cancelled := false
 	switch tier {
 	case TierSpin:
-		cancelled = b.spinThenPark(rd, parkCh, done)
+		var turnedAway bool
+		if turnedAway, cancelled = b.spinThenPark(rd, parkCh, done); turnedAway {
+			// The gauge had no P to spare: the waiter parked, so it counts
+			// as a park and its stall as freed CPU time. The gauge, not the
+			// prediction, chose the park, so the cut-off does not judge it.
+			tier, out.parking = TierPark, true
+		}
 	case TierYield:
 		cancelled = b.yieldThenPark(rd, parkCh, done)
 	case TierTimedPark:
 		out, cancelled = b.timedPark(rd, parkCh, predictedRelease, done)
 		out.parking, out.judge = true, true
 	case TierPark:
-		select {
-		case <-parkCh:
-		case <-done:
-			cancelled = true
-		}
+		cancelled = park(parkCh, done)
 		out.parking, out.judge = true, true
 	}
+	s.tiers[tier].Add(1) // the tier the wait used, not the one planned
 	end := b.opts.Now()
 	stall := end.Sub(waitStart)
 
@@ -738,7 +751,7 @@ func (b *Barrier) breakRound(rd *round) (released bool) {
 	// Clear the stale release timestamp so the first interval measured
 	// after Reset is discarded (it would span the broken period, poisoning
 	// the predictor exactly like the construction-to-first-release one).
-	b.lastRelease.Store(nil)
+	b.lastRelease.Store(0)
 	b.stopWatchdogLocked(rd)
 	b.mu.Unlock()
 	closeRound(rd)
@@ -760,7 +773,7 @@ func (b *Barrier) Reset() {
 			// round: the barrier is already freshly armed, so there is
 			// nothing to tear down. Still discard the interval spanning
 			// the Reset, like the construction interval.
-			b.lastRelease.Store(nil)
+			b.lastRelease.Store(0)
 			b.mu.Unlock()
 			return
 		}
@@ -784,7 +797,7 @@ func (b *Barrier) Reset() {
 				b.breaks.Add(1)
 			}
 		}
-		b.lastRelease.Store(nil)
+		b.lastRelease.Store(0)
 		b.stopWatchdogLocked(rd)
 		b.mu.Unlock()
 		if needClose {
@@ -893,14 +906,14 @@ func (b *Barrier) selectTier(stall time.Duration, havePred bool) Tier {
 	if !havePred {
 		// Warm-up / disabled: conventional behaviour — a bounded spin then
 		// park, the usual adaptive-mutex policy.
-		if !b.spinnable {
+		if b.procs < 2 {
 			return TierYield
 		}
 		return TierSpin
 	}
 	switch {
 	case stall <= b.opts.SpinThreshold:
-		if !b.spinnable {
+		if b.procs < 2 {
 			return TierYield
 		}
 		return TierSpin
@@ -910,66 +923,6 @@ func (b *Barrier) selectTier(stall time.Duration, havePred bool) Tier {
 		return TierTimedPark
 	default:
 		return TierPark
-	}
-}
-
-// spinThenPark busy-waits within the spin budget, then parks — a wrong
-// "short" prediction costs at most the budget. The hot loop is a single
-// atomic load; the clock and the cancellation channel are consulted only
-// every batch (done is nil for plain Wait callers and never fires). It
-// reports whether the wait ended by cancellation.
-func (b *Barrier) spinThenPark(rd *round, parkCh chan struct{}, done <-chan struct{}) (cancelled bool) {
-	if !b.spinnable {
-		return b.yieldThenPark(rd, parkCh, done)
-	}
-	deadline := b.opts.Now().Add(b.opts.SpinBudget)
-	for {
-		for i := 0; i < 1024; i++ {
-			if rd.done.Load() {
-				return false
-			}
-		}
-		if done != nil {
-			select {
-			case <-done:
-				return true
-			default:
-			}
-		}
-		if b.opts.Now().After(deadline) {
-			select {
-			case <-parkCh:
-				return false
-			case <-done:
-				return true
-			}
-		}
-	}
-}
-
-// yieldThenPark shares the processor while polling, then parks.
-func (b *Barrier) yieldThenPark(rd *round, parkCh chan struct{}, done <-chan struct{}) (cancelled bool) {
-	deadline := b.opts.Now().Add(b.opts.SpinBudget)
-	for {
-		if rd.done.Load() {
-			return false
-		}
-		if done != nil {
-			select {
-			case <-done:
-				return true
-			default:
-			}
-		}
-		runtime.Gosched()
-		if b.opts.Now().After(deadline) {
-			select {
-			case <-parkCh:
-				return false
-			case <-done:
-				return true
-			}
-		}
 	}
 }
 
@@ -1000,8 +953,11 @@ func (b *Barrier) applyCutoff(s *site, predictedRelease, actual time.Time, bit t
 
 // SiteStats is a snapshot of one call site's behaviour.
 type SiteStats struct {
-	Key        uintptr
-	Waits      uint64
+	Key   uintptr
+	Waits uint64
+	// Tiers counts early arrivers' waits by the tier each one used, which
+	// differs from the tier predicted when the spinner gauge turned a
+	// spin away (it counts as a park).
 	Tiers      [4]uint64 // indexed by Tier
 	EarlyWakes uint64
 	LateWakes  uint64

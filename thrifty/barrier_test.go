@@ -398,10 +398,13 @@ func TestParkedTimeAccounting(t *testing.T) {
 func TestSinglePDegradesSpinToYield(t *testing.T) {
 	// With GOMAXPROCS=1 a spinner blocks the releaser until preemption
 	// (~25us quantum), so the spin tier must degrade to yielding — the
-	// same condition sync.Mutex's spin guard checks.
+	// same condition sync.Mutex's spin guard checks — and no spin path,
+	// the Mutex's included, is ever admitted.
 	prev := runtime.GOMAXPROCS(1)
 	defer runtime.GOMAXPROCS(prev)
+	rec := observeSpins(t, 1)
 	b := New(2, Options{})
+	var m Mutex
 	var wg sync.WaitGroup
 	for p := 0; p < 2; p++ {
 		wg.Add(1)
@@ -409,6 +412,8 @@ func TestSinglePDegradesSpinToYield(t *testing.T) {
 			defer wg.Done()
 			for r := 0; r < 40; r++ {
 				b.WaitSite(0xF)
+				m.Lock()
+				m.Unlock()
 			}
 		}()
 	}
@@ -419,5 +424,11 @@ func TestSinglePDegradesSpinToYield(t *testing.T) {
 	}
 	if s.Tiers[TierYield] == 0 {
 		t.Fatalf("single-P barrier never yielded: %+v", s)
+	}
+	if n := rec.admissions.Load(); n != 0 {
+		t.Fatalf("%d spinners admitted with GOMAXPROCS=1", n)
+	}
+	if ms := m.Stats(); ms.Spins != 0 {
+		t.Fatalf("single-P mutex spun %d times", ms.Spins)
 	}
 }

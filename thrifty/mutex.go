@@ -36,8 +36,9 @@ type Mutex struct {
 	svcValid bool
 	grantAt  time.Time
 
-	spinnable     bool
-	spinnableInit bool
+	// procs is GOMAXPROCS, read at the first Lock (0 until then) and
+	// cached: runtime.GOMAXPROCS(0) takes the scheduler lock.
+	procs int
 
 	// Stats.
 	locks   uint64
@@ -89,9 +90,8 @@ func (m *Mutex) lock(ctx context.Context) error {
 		done = ctx.Done()
 	}
 	m.mu.Lock()
-	if !m.spinnableInit {
-		m.spinnable = runtime.GOMAXPROCS(0) > 1
-		m.spinnableInit = true
+	if m.procs == 0 {
+		m.procs = runtime.GOMAXPROCS(0)
 	}
 	m.locks++
 	if !m.locked && len(m.queue) == 0 {
@@ -107,7 +107,9 @@ func (m *Mutex) lock(ctx context.Context) error {
 	if m.svcValid {
 		predWait = time.Duration(position) * m.svc
 	}
-	spin := m.spinnable && m.svcValid && predWait <= mutexSpinCutoff
+	// The spinner gauge admits the spin only while it leaves a P for the
+	// holder, the one goroutine missing before the grant (see trySpin).
+	spin := m.svcValid && predWait <= mutexSpinCutoff && trySpin(m.procs, 1)
 	if spin {
 		m.spins++
 	} else {
@@ -123,8 +125,10 @@ func (m *Mutex) lock(ctx context.Context) error {
 		for {
 			select {
 			case <-w.ch:
+				endSpin()
 				return nil
 			case <-done:
+				endSpin()
 				return m.cancelWait(ctx, w)
 			default:
 			}
@@ -132,6 +136,7 @@ func (m *Mutex) lock(ctx context.Context) error {
 				break
 			}
 		}
+		endSpin()
 	}
 	// Park. Whichever path led here — a predicted-long wait or a spin whose
 	// prediction ran out — the time blocked on the grant channel is CPU time

@@ -1,7 +1,6 @@
 package thrifty
 
 import (
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -39,11 +38,6 @@ import (
 // its token was consumed, or after a successful Cancel (no token was or
 // will ever be sent).
 var wakeChPool = sync.Pool{New: func() any { return make(chan struct{}, 1) }}
-
-// timedParked counts waiters currently inside timedPark across every
-// Barrier in the process — the load signal for the spin-then-wheel
-// policy below.
-var timedParked atomic.Int64
 
 // disarmWake resolves the §3.3.2 race on the waiter's side after the
 // external wake-up (or a cancellation) won the select: the internal
@@ -138,29 +132,21 @@ func (b *Barrier) timedPark(rd *round, parkCh chan struct{}, predictedRelease ti
 	wake := predictedRelease.Add(-b.opts.ParkMargin)
 	d := wake.Sub(b.opts.Now())
 	if d <= 0 {
-		select {
-		case <-parkCh:
-		case <-done:
-			cancelled = true
-		}
-		return out, cancelled
+		return out, park(parkCh, done)
 	}
-	timedParked.Add(1)
-	defer timedParked.Add(-1)
 
-	// Waiter-count-aware spin-then-wheel: when the anticipation gap fits
-	// in the spin budget AND the process is not already saturated with
-	// timed-parked waiters, skip the wheel and go straight to the
-	// residual spin — for a gap this short, two shard-lock sections plus
-	// a channel wake cost more than the spin they would save, but only
-	// while there are processors to spin on. Past one waiter per
-	// processor the wheel is strictly better, so the many-barrier regime
-	// always takes the wheel path. This is the internal wake-up firing at
-	// arm time, hence earlyWake: the cut-off still judges the prediction.
-	if d <= b.opts.SpinBudget && b.spinnable && timedParked.Load() <= int64(runtime.GOMAXPROCS(0)) {
+	// Spin-then-wheel: when the anticipation gap fits in the spin budget
+	// AND the spinner gauge has a P to spare, skip the wheel and go
+	// straight to the residual spin — for a gap this short, two
+	// shard-lock sections plus a channel wake cost more than the spin
+	// they would save, but only while there are processors to spin on.
+	// A waiter the gauge turns away arms the wheel, so the many-barrier
+	// regime always takes the wheel path. This is the internal wake-up
+	// firing at arm time, hence earlyWake: the cut-off still judges the
+	// prediction.
+	if d <= b.opts.SpinBudget && b.trySpin(rd) {
 		out.earlyWake = true
-		cancelled = b.spinThenPark(rd, parkCh, done)
-		return out, cancelled
+		return out, b.spinAdmitted(rd, parkCh, done)
 	}
 
 	// Coalesced path: with more than two parties, sibling waiters of the
@@ -178,7 +164,7 @@ func (b *Barrier) timedPark(rd *round, parkCh chan struct{}, predictedRelease ti
 			case <-cw.ch:
 				out.earlyWake = true
 				leaveCoalesced(wheel.Default(), rd, cw)
-				cancelled = b.spinThenPark(rd, parkCh, done)
+				_, cancelled = b.spinThenPark(rd, parkCh, done)
 				return out, cancelled
 			case <-done:
 				cancelled = true
@@ -201,7 +187,7 @@ func (b *Barrier) timedPark(rd *round, parkCh chan struct{}, predictedRelease ti
 		// the spin budget, then park.
 		out.earlyWake = true
 		wakeChPool.Put(wch)
-		cancelled = b.spinThenPark(rd, parkCh, done)
+		_, cancelled = b.spinThenPark(rd, parkCh, done)
 	case <-done:
 		cancelled = true
 		disarmWake(h, wch)
