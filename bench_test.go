@@ -616,3 +616,10 @@ func BenchmarkMutexStdlib(b *testing.B) {
 	}
 	wg.Wait()
 }
+
+// BenchmarkCoherenceFlushForSleep is one node's re-dirty and
+// flush-before-sleep on the full 64-node machine (see
+// microbench.CoherenceFlushForSleep).
+func BenchmarkCoherenceFlushForSleep(b *testing.B) {
+	microbench.CoherenceFlushForSleep()(b)
+}

@@ -90,6 +90,9 @@ var readmeEngineAnchors = []struct {
 	{"ParallelCore/shards-1", regexp.MustCompile(`\|\s*core machine, 1 shard[^|]*\|\s*([0-9.]+)\s*\|`)},
 	{"ParallelCore/shards-4", regexp.MustCompile(`\|\s*core machine, 4 shards[^|]*\|\s*([0-9.]+)\s*\|`)},
 	{"ParallelCore/shards-8", regexp.MustCompile(`\|\s*core machine, 8 shards[^|]*\|\s*([0-9.]+)\s*\|`)},
+	// "| after (own-L2 walk, O(1) dirty count) | 26566 | 32 |" — one
+	// node's re-dirty and flush-before-sleep, in ns/op.
+	{"CoherenceFlushForSleep", regexp.MustCompile(`\|\s*after \(own-L2 walk[^|]*\|\s*([0-9.]+)\s*\|`)},
 }
 
 // loadSuite reads one BENCH_*.json and returns a lookup by result name.

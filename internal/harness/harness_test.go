@@ -1,6 +1,8 @@
 package harness
 
 import (
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -149,6 +151,22 @@ func TestPaperShapeFigures56(t *testing.T) {
 	byName := map[string]Summary{}
 	for _, s := range sums {
 		byName[s.Config] = s
+	}
+
+	// The committed figures are this run's output, byte for byte: a change
+	// that moves any number must regenerate them and log it in
+	// EXPERIMENTS.md.
+	for _, fig := range []struct {
+		file   string
+		energy bool
+	}{{"figure5.csv", true}, {"figure6.csv", false}} {
+		want, err := os.ReadFile(filepath.Join("..", "..", "results", fig.file))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := RenderFigureCSV(apps, fig.energy); got != string(want) {
+			t.Errorf("RenderFigureCSV differs from results/%s:\n%s", fig.file, got)
+		}
 	}
 
 	// §5.1: Thrifty reduces energy by about 17% on the target apps; we

@@ -8,8 +8,9 @@
 // baseline equivalent to the pre-rewrite implementation), the wake-up
 // fabric (the sharded timing wheel's many-barrier arm/cancel sweep up to
 // a million resident barriers, with tail-lateness quantiles), and the
-// simulator's event engine (schedule/fire steady state, which must stay
-// allocation-free).
+// simulator (event-engine schedule/fire steady state, which must stay
+// allocation-free, the coherence protocol's flush-before-sleep, and the
+// sharded core machine).
 package microbench
 
 import (
@@ -21,6 +22,9 @@ import (
 
 	"thriftybarrier/internal/core"
 	"thriftybarrier/internal/harness"
+	"thriftybarrier/internal/mem/coherence"
+	"thriftybarrier/internal/mem/dram"
+	"thriftybarrier/internal/mem/noc"
 	"thriftybarrier/internal/sim"
 	"thriftybarrier/thrifty"
 )
@@ -153,7 +157,8 @@ func WheelSpecs() []Spec {
 	return specs
 }
 
-// SimSpecs is the event-engine half of the suite.
+// SimSpecs is the simulator half of the suite: event engine, coherence
+// model, core machine.
 func SimSpecs() []Spec {
 	return []Spec{
 		{"EngineScheduleFire/empty", EngineScheduleFire(0)},
@@ -162,6 +167,7 @@ func SimSpecs() []Spec {
 		{"ParallelEngine/shards-1", ParallelEngineEvents(1)},
 		{"ParallelEngine/shards-4", ParallelEngineEvents(4)},
 		{"ParallelEngine/shards-8", ParallelEngineEvents(8)},
+		{"CoherenceFlushForSleep", CoherenceFlushForSleep()},
 		{"ParallelCore/seq", ParallelCoreEvents(0)},
 		{"ParallelCore/shards-1", ParallelCoreEvents(1)},
 		{"ParallelCore/shards-4", ParallelCoreEvents(4)},
@@ -369,6 +375,66 @@ func ParallelCoreEvents(shards int) func(*testing.B) {
 			events += m.Run(prog, shards).Events
 		}
 		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(events), "ns/event")
+	}
+}
+
+// CoherenceFlushForSleep measures the flush a CPU performs before a gated
+// sleep state on the paper's 64-node machine with every node's L2 full: a
+// third Modified lines, a third Exclusive, a third Shared by every node.
+// Each op re-dirties one node, rotating through all 64, and flushes it: 32
+// stores to lines the node's previous flush downgraded to Shared, and 32
+// loads of lines it wrote back, which come back Exclusive. So every flush
+// writes back 32 lines and downgrades 32.
+func CoherenceFlushForSleep() func(*testing.B) {
+	return func(b *testing.B) {
+		b.ReportAllocs()
+		cfg := coherence.DefaultConfig()
+		p := coherence.New(cfg, noc.New(noc.DefaultConfig()), dram.NewPlacement(cfg.Nodes, 4096))
+		lines := cfg.L2.SizeBytes / cfg.L2.LineBytes
+		// Line i of node n sits in L2 set i mod sets, so each node's lines
+		// fill its L2 exactly. Lines with i%3 == 2 are the same for every
+		// node; the others are the node's own.
+		addr := func(n, i int) uint64 {
+			if i%3 == 2 {
+				return uint64(i) << 6
+			}
+			return uint64(n+1)<<32 | uint64(i)<<6
+		}
+		now := sim.Cycles(0)
+		for n := 0; n < cfg.Nodes; n++ {
+			for i := 0; i < lines; i++ {
+				now++
+				if i%3 == 0 {
+					p.Write(n, addr(n, i), now)
+				} else {
+					p.Read(n, addr(n, i), now)
+				}
+			}
+		}
+		// visit re-dirties node n and flushes it. Visits alternate which
+		// of the node's two 32-line slots is stored to and which is
+		// reloaded.
+		visits := make([]int, cfg.Nodes)
+		visit := func(n int) {
+			store, load := 0, 1
+			if visits[n]%2 == 1 {
+				store, load = 1, 0
+			}
+			visits[n]++
+			for k := 0; k < 32; k++ {
+				now++
+				p.Write(n, addr(n, 3*k+store), now)
+				p.Read(n, addr(n, 3*k+load), now)
+			}
+			p.FlushForSleep(n, now)
+		}
+		for n := 0; n < cfg.Nodes; n++ {
+			visit(n)
+		}
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			visit(i % cfg.Nodes)
+		}
 	}
 }
 

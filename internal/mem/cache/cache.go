@@ -96,6 +96,7 @@ type Cache struct {
 	setMask   uint64
 	lineShift uint
 	clock     uint64 // LRU clock
+	dirty     int    // lines in state Modified, kept in step by setState
 
 	// Stats.
 	hits, misses, evictions, writebacks uint64
@@ -130,6 +131,18 @@ func (c *Cache) Config() Config { return c.cfg }
 // LineAddr returns the line-aligned address containing addr.
 func (c *Cache) LineAddr(addr uint64) uint64 {
 	return addr &^ (uint64(c.cfg.LineBytes) - 1)
+}
+
+// setState changes ln's state, keeping the dirty-line count in step. Every
+// state change goes through it.
+func (c *Cache) setState(ln *line, st LineState) {
+	if ln.state.Dirty() {
+		c.dirty--
+	}
+	if st.Dirty() {
+		c.dirty++
+	}
+	ln.state = st
 }
 
 func (c *Cache) index(addr uint64) (set uint64, tag uint64) {
@@ -179,7 +192,7 @@ func (c *Cache) Insert(addr uint64, state LineState) (Victim, bool) {
 	for i := range ways {
 		if ways[i].state.Valid() && ways[i].tag == tag {
 			c.clock++
-			ways[i].state = state
+			c.setState(&ways[i], state)
 			ways[i].lru = c.clock
 			return Victim{}, false
 		}
@@ -211,7 +224,9 @@ func (c *Cache) Insert(addr uint64, state LineState) (Victim, bool) {
 		}
 	}
 	c.clock++
-	ways[victimIdx] = line{tag: tag, state: state, lru: c.clock}
+	c.setState(&ways[victimIdx], state)
+	ways[victimIdx].tag = tag
+	ways[victimIdx].lru = c.clock
 	return victim, evicted
 }
 
@@ -222,11 +237,7 @@ func (c *Cache) SetState(addr uint64, state LineState) bool {
 	for i := range c.sets[set] {
 		ln := &c.sets[set][i]
 		if ln.state.Valid() && ln.tag == tag {
-			if state == Invalid {
-				ln.state = Invalid
-			} else {
-				ln.state = state
-			}
+			c.setState(ln, state)
 			return true
 		}
 	}
@@ -240,45 +251,50 @@ func (c *Cache) Invalidate(addr uint64) (wasDirty, wasPresent bool) {
 		ln := &c.sets[set][i]
 		if ln.state.Valid() && ln.tag == tag {
 			wasDirty = ln.state.Dirty()
-			ln.state = Invalid
+			c.setState(ln, Invalid)
 			return wasDirty, true
 		}
 	}
 	return false, false
 }
 
-// FlushDirty writes back and invalidates every dirty line, returning their
-// line addresses. This models the flush a processor performs before
-// entering a deep sleep state whose cache cannot respond to protocol
-// interventions (§3.1): the data must reach a safe place, and subsequent
-// accesses become compulsory misses.
-func (c *Cache) FlushDirty() []uint64 {
-	var flushed []uint64
-	for s := range c.sets {
+// FlushDirty writes back and invalidates every dirty line, appending their
+// line addresses to dst in set/way order and returning the extended slice.
+// This models the flush a processor performs before entering a deep sleep
+// state whose cache cannot respond to protocol interventions (§3.1): the
+// data must reach a safe place, and subsequent accesses become compulsory
+// misses. The scan stops at the last dirty line.
+func (c *Cache) FlushDirty(dst []uint64) []uint64 {
+	for s := 0; s < len(c.sets) && c.dirty > 0; s++ {
 		for i := range c.sets[s] {
 			ln := &c.sets[s][i]
 			if ln.state.Dirty() {
-				flushed = append(flushed, ln.tag<<c.lineShift)
-				ln.state = Invalid
+				dst = append(dst, ln.tag<<c.lineShift)
+				c.setState(ln, Invalid)
 				c.writebacks++
 			}
 		}
 	}
-	return flushed
+	return dst
 }
 
-// DirtyCount reports how many lines are currently dirty.
-func (c *Cache) DirtyCount() int {
-	n := 0
+// AppendLines appends the line address of every line in the valid state st
+// to dst, in set/way order, and returns the extended slice. It changes
+// nothing.
+func (c *Cache) AppendLines(dst []uint64, st LineState) []uint64 {
 	for s := range c.sets {
 		for i := range c.sets[s] {
-			if c.sets[s][i].state.Dirty() {
-				n++
+			if ln := &c.sets[s][i]; ln.state == st {
+				dst = append(dst, ln.tag<<c.lineShift)
 			}
 		}
 	}
-	return n
+	return dst
 }
+
+// DirtyCount reports how many lines are currently dirty. It is O(1): the
+// count is kept up to date by every state change.
+func (c *Cache) DirtyCount() int { return c.dirty }
 
 // ValidCount reports how many lines are currently valid.
 func (c *Cache) ValidCount() int {
@@ -306,4 +322,5 @@ func (c *Cache) Clear() {
 			c.sets[s][i] = line{}
 		}
 	}
+	c.dirty = 0
 }

@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -129,7 +130,7 @@ func TestFlushDirty(t *testing.T) {
 	c.Insert(0x040, Shared)
 	c.Insert(0x080, Exclusive)
 	c.Insert(0x0C0, Modified)
-	flushed := c.FlushDirty()
+	flushed := c.FlushDirty(nil)
 	if len(flushed) != 2 {
 		t.Fatalf("flushed %d lines, want 2", len(flushed))
 	}
@@ -210,12 +211,95 @@ func TestWritebackConservationProperty(t *testing.T) {
 			c.Insert(addr, Modified)
 			inserted++
 		}
-		flushed := len(c.FlushDirty())
+		flushed := len(c.FlushDirty(nil))
 		_, _, _, wb := c.Stats()
 		// writebacks counts evictions of dirty lines plus flushes.
 		return int(wb) == inserted && flushed+int(wb)-flushed <= inserted
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// scanDirty counts dirty lines by a full scan.
+func scanDirty(c *Cache) int {
+	n := 0
+	for s := range c.sets {
+		for i := range c.sets[s] {
+			if c.sets[s][i].state.Dirty() {
+				n++
+			}
+		}
+	}
+	return n
+}
+
+// Property: the incremental dirty count equals a full scan after every
+// step of a random sequence of every state-changing operation. The cache
+// is small (4 sets × 2 ways) and the address range wide enough to force
+// evictions of dirty and clean victims alike.
+func TestDirtyCountMatchesScanProperty(t *testing.T) {
+	allStates := []LineState{Invalid, Shared, Exclusive, Modified}
+	states := allStates[1:]
+	for seed := int64(1); seed <= 50; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		c := New(Config{SizeBytes: 512, LineBytes: 64, Ways: 2})
+		var buf []uint64
+		for step := 0; step < 400; step++ {
+			addr := uint64(rng.Intn(32)) << 6
+			op := rng.Intn(20)
+			switch {
+			case op < 10:
+				c.Insert(addr, states[rng.Intn(len(states))])
+			case op < 14:
+				c.SetState(addr, allStates[rng.Intn(len(allStates))])
+			case op < 17:
+				c.Invalidate(addr)
+			case op < 19:
+				want := scanDirty(c)
+				buf = c.FlushDirty(buf[:0])
+				if len(buf) != want {
+					t.Fatalf("seed %d step %d: FlushDirty returned %d lines, scan found %d dirty", seed, step, len(buf), want)
+				}
+			default:
+				c.Clear()
+			}
+			if got, want := c.DirtyCount(), scanDirty(c); got != want {
+				t.Fatalf("seed %d step %d (op %d): DirtyCount = %d, full scan = %d", seed, step, op, got, want)
+			}
+		}
+	}
+}
+
+func TestFlushDirtyAppendsInSetWayOrder(t *testing.T) {
+	c := l2() // 128 sets: line k sits in set k%128
+	c.Insert(0x0C0, Modified)
+	c.Insert(0x040, Modified)
+	c.Insert(0x080, Shared)
+	c.Insert(0x040+128*64, Modified) // set 1, second way
+	got := c.FlushDirty([]uint64{0xDEAD})
+	want := []uint64{0xDEAD, 0x040, 0x040 + 128*64, 0x0C0}
+	if len(got) != len(want) {
+		t.Fatalf("FlushDirty = %#x, want %#x", got, want)
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("FlushDirty = %#x, want %#x", got, want)
+		}
+	}
+}
+
+func TestAppendLines(t *testing.T) {
+	c := l2()
+	c.Insert(0x0C0, Exclusive)
+	c.Insert(0x040, Exclusive)
+	c.Insert(0x080, Shared)
+	c.Insert(0x100, Modified)
+	got := c.AppendLines(nil, Exclusive)
+	if len(got) != 2 || got[0] != 0x040 || got[1] != 0x0C0 {
+		t.Fatalf("AppendLines(Exclusive) = %#x, want [0x40 0xc0]", got)
+	}
+	if st, _ := c.Peek(0x040); st != Exclusive {
+		t.Fatalf("AppendLines changed a state: %v", st)
 	}
 }

@@ -209,6 +209,10 @@ type Protocol struct {
 
 	monitors map[monitorKey]func(sim.Cycles)
 
+	// lines is FlushForSleep's reused line buffer: the flushed lines, then
+	// the sleeper's Exclusive lines.
+	lines []uint64
+
 	stats Stats
 }
 
@@ -563,13 +567,16 @@ func (p *Protocol) writeMiss(node int, line uint64, now sim.Cycles) AccessResult
 // number of lines written back and the time the flush occupies the
 // processor before it can enter the sleep state.
 func (p *Protocol) FlushForSleep(node int, now sim.Cycles) (lines int, latency sim.Cycles) {
-	dirtyL1 := p.l1s[node].FlushDirty()
+	dirtyL1 := p.l1s[node].FlushDirty(p.lines[:0])
 	for _, line := range dirtyL1 {
 		// L1 dirty lines fold into L2 (inclusion) before the L2 flush; if
 		// the L2 copy lost dirtiness tracking, restore it.
 		p.l2s[node].SetState(line, cache.Modified)
 	}
-	dirty := p.l2s[node].FlushDirty()
+	// Writebacks go out in the L2's set/way order: the DRAM model keeps
+	// open-row state, so its latencies depend on access order.
+	dirty := p.l2s[node].FlushDirty(dirtyL1[:0])
+	p.lines = dirty
 	var maxNet sim.Cycles
 	for _, line := range dirty {
 		home := p.place.Home(line)
@@ -592,21 +599,19 @@ func (p *Protocol) FlushForSleep(node int, now sim.Cycles) (lines int, latency s
 }
 
 // downgradeExclusives converts node-owned clean Exclusive directory entries
-// to Shared{node}.
+// to Shared{node}. It walks node's own L2, not the directory. That finds
+// every such entry because the L2 is inclusive and every path that drops a
+// line a node owns exclusively (L2 eviction, invalidation by a new owner,
+// flush) clears or hands over its directory entry.
 func (p *Protocol) downgradeExclusives(node int) {
-	for line, e := range p.dir {
-		if e.state == dirExclusive && e.owner == node {
-			if st, ok := p.l2s[node].Peek(line); ok && st == cache.Exclusive {
-				p.l1s[node].SetState(line, cache.Shared)
-				p.l2s[node].SetState(line, cache.Shared)
-				e.state = dirShared
-				e.sharers.clear()
-				e.sharers.add(node)
-			} else if !ok {
-				// Directory thinks node owns it but the cache dropped it
-				// (shouldn't happen given evict bookkeeping); clean up.
-				delete(p.dir, line)
-			}
+	p.lines = p.l2s[node].AppendLines(p.lines[:0], cache.Exclusive)
+	for _, line := range p.lines {
+		if e := p.dir[line]; e != nil && e.state == dirExclusive && e.owner == node {
+			p.l1s[node].SetState(line, cache.Shared)
+			p.l2s[node].SetState(line, cache.Shared)
+			e.state = dirShared
+			e.sharers.clear()
+			e.sharers.add(node)
 		}
 	}
 }
