@@ -19,8 +19,14 @@ import (
 // caches, a directory/memory slice, and the barrier lines homed on its
 // nodes. Every interaction that crosses a region boundary — check-in
 // requests, flag reads, release invalidations (the wake-up IPIs), and
-// predictor queries — travels as an explicit message through the shard
-// outboxes, with lookahead equal to the NoC's minimum cross-node latency.
+// predictor queries — travels as an explicit message posted into the
+// destination shard's queue, with lookahead equal to the NoC's minimum
+// cross-node latency. The engine runs every window's shards one after
+// another on the goroutine that called Run, so nothing here is shared
+// between goroutines. That also means the race detector cannot catch a
+// handler that reads another region's state mid-window; the shard-count
+// bit-identity tests do, because such a read depends on which shards
+// already ran the window.
 //
 // Two deliberate departures from the sequential Machine's analytic
 // shortcuts make the partitioning possible; both are visible in results,
@@ -317,8 +323,9 @@ func (m *ParallelMachine) meta(pc uint64) *pcMeta {
 }
 
 // orderKey mints the next simulation-state-derived order key for a node:
-// unique machine-wide, identical across shard counts, so the stable
-// (when, order) merge executes events in the same sequence everywhere.
+// unique machine-wide and identical across shard counts, so every shard
+// fires its events in the same (when, order) sequence however many
+// shards there are and whichever shard posted first.
 func (m *ParallelMachine) orderKey(node int) uint64 {
 	nd := m.nodes[node]
 	nd.seq++
@@ -410,6 +417,18 @@ func (m *ParallelMachine) Run(prog Program, shards int) ParallelResult {
 		m.pe.Run()
 	}
 	return m.collect()
+}
+
+// Windows reports how many lookahead windows the sharded run executed,
+// the same at every shard count; 0 for a run on the sequential engine
+// (shards <= 0) or before Run. Events / Windows is the work each window
+// barrier covers. It is not a ParallelResult field because results must
+// match the sequential reference exactly.
+func (m *ParallelMachine) Windows() uint64 {
+	if m.pe == nil {
+		return 0
+	}
+	return m.pe.Windows()
 }
 
 // ParallelResult extends Result with the per-CPU vectors the scaling

@@ -244,3 +244,32 @@ func TestParallelShardClamp(t *testing.T) {
 		t.Errorf("shards = %d, want clamp to 2 regions", r.Shards)
 	}
 }
+
+// Windows counts the engine's lookahead windows. A window covers every
+// event before its end whether or not a shard boundary separates them, so
+// the count is the same at every shard count; the sequential engine has
+// none.
+func TestParallelWindowsShardInvariant(t *testing.T) {
+	arch := parallelArch(64, 8)
+	prog := UniformProgram(0x450, 4, imbalancedWork(150_000, 250_000))
+	run := func(shards int) (uint64, ParallelResult) {
+		m, err := NewParallelMachine(arch, Thrifty())
+		if err != nil {
+			t.Fatal(err)
+		}
+		r := m.Run(prog, shards)
+		return m.Windows(), r
+	}
+	if w, _ := run(0); w != 0 {
+		t.Fatalf("sequential engine reports %d windows, want 0", w)
+	}
+	want, r := run(1)
+	if want == 0 || want > r.Events {
+		t.Fatalf("1 shard: %d windows for %d events", want, r.Events)
+	}
+	for _, shards := range []int{2, 4, 8} {
+		if w, _ := run(shards); w != want {
+			t.Errorf("%d shards: %d windows, want %d as at 1 shard", shards, w, want)
+		}
+	}
+}

@@ -302,9 +302,10 @@ func EngineScheduleFire(pending int) func(*testing.B) {
 // ParallelEngineEvents drives the conservative parallel engine through a
 // 64-rank token-ring workload — every event hops to the next rank exactly
 // one lookahead ahead, ranks block-mapped onto shards, so consecutive hops
-// cross shard boundaries and every window carries cross-shard merges. The
+// cross shard boundaries and every window carries cross-shard posts. The
 // headline metric is ns/event; shards-1 measures the sequential golden
 // reference's window overhead against the raw engine numbers above.
+// events/window is the work each window barrier covers.
 func ParallelEngineEvents(shards int) func(*testing.B) {
 	return func(b *testing.B) {
 		const (
@@ -313,6 +314,7 @@ func ParallelEngineEvents(shards int) func(*testing.B) {
 			hops      = 256
 			lookahead = sim.Cycles(48)
 		)
+		var windows uint64
 		for i := 0; i < b.N; i++ {
 			pe := sim.NewParallelEngine(shards, lookahead)
 			owner := make([]int, ranks)
@@ -347,8 +349,11 @@ func ParallelEngineEvents(shards int) func(*testing.B) {
 				pe.Shard(owner[r]).At(sim.Cycles(k+1), order(r), hop(r, hops))
 			}
 			pe.Run()
+			windows += pe.Windows()
 		}
-		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*tokens*(hops+1)), "ns/event")
+		events := float64(b.N * tokens * (hops + 1))
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/events, "ns/event")
+		b.ReportMetric(events/float64(windows), "events/window")
 	}
 }
 
@@ -359,13 +364,14 @@ func ParallelEngineEvents(shards int) func(*testing.B) {
 // shards 0 is the plain sequential engine, the golden reference;
 // shards-1 isolates the parallel engine's window overhead on identical
 // physics; shards-4/8 measure the conservative-window throughput the
-// 256-CPU study leans on.
+// 256-CPU study leans on. The sharded specs also report events/window,
+// the machine's traffic per window barrier.
 func ParallelCoreEvents(shards int) func(*testing.B) {
 	return func(b *testing.B) {
 		arch := core.DefaultArch().WithNodes(64)
 		arch.RegionNodes = 8
 		prog := harness.CoreScalingProgram(1, 64, 6)
-		var events uint64
+		var events, windows uint64
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			m, err := core.NewParallelMachine(arch, core.Thrifty())
@@ -373,8 +379,12 @@ func ParallelCoreEvents(shards int) func(*testing.B) {
 				b.Fatal(err)
 			}
 			events += m.Run(prog, shards).Events
+			windows += m.Windows()
 		}
 		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(events), "ns/event")
+		if windows > 0 { // the sequential engine has no windows
+			b.ReportMetric(float64(events)/float64(windows), "events/window")
+		}
 	}
 }
 

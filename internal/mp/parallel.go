@@ -49,9 +49,9 @@ func (r ParallelResult) MeanRoundLatency() sim.Cycles {
 // bit for bit — at every shard count. Every event carries an order key
 // derived from simulation state only (a per-source-rank counter, or a
 // reserved release-delivery key), so each shard's firing order is
-// independent of message merge timing; per-rank state is touched only by
-// that rank's own events, so each rank's timeline is appended in a fixed
-// order and the floating-point sums never reassociate.
+// independent of the order messages are posted in; per-rank state is
+// touched only by that rank's own events, so each rank's timeline is
+// appended in a fixed order and the floating-point sums never reassociate.
 //
 // RunParallel does not touch the Machine's sequential state: the legacy
 // Run remains byte-identical to its pre-parallel behaviour, and one Machine

@@ -99,7 +99,7 @@ func (e *Engine) At(when Cycles, fn func()) Handle {
 // After) passes order 0, so its same-cycle ties still resolve by
 // scheduling sequence. The parallel engine's models pass unique order
 // keys, making the firing order — and therefore the whole run —
-// independent of when a cross-shard message happened to be merged into
+// independent of when a cross-shard message was posted into
 // the destination queue.
 //
 // It panics, with the limit in the message, when the arena is full

@@ -1,43 +1,45 @@
 package sim
 
-import (
-	"fmt"
-	"sort"
-	"sync"
-	"sync/atomic"
-)
+import "fmt"
 
-// ParallelEngine is a conservative parallel discrete-event engine: the
-// event queue is sharded (one arena Engine per shard, typically one shard
-// per NoC region of the modeled machine), and shards execute concurrently
-// inside time windows of width equal to the model's lookahead — the
-// minimum latency of any cross-shard interaction, which for the modeled
-// machines is the one-hop NoC message latency. The invariant that makes
-// this safe is the classic conservative-simulation one: an event executing
-// at time t can only schedule cross-shard work at t+lookahead or later, so
-// no event inside the window [T, T+lookahead) can affect another shard
-// within the same window.
+// ParallelEngine is a conservative discrete-event engine over a sharded
+// event queue: one arena Engine per shard, typically one shard per NoC
+// region of the modeled machine. Time advances in windows of width equal
+// to the model's lookahead — the minimum latency of any cross-shard
+// interaction, which for the modeled machines is the one-hop NoC message
+// latency. The invariant is the classic conservative-simulation one: an
+// event executing at time t can only schedule cross-shard work at
+// t+lookahead or later, so no event inside the window [T, T+lookahead)
+// can affect another shard within the same window.
 //
-// The window loop is a sequence of barriers:
+// Every window runs on the goroutine that called Run:
 //
 //  1. T = min pending timestamp across all shards (PeekWhen).
-//  2. Every shard concurrently fires its events with when < T+lookahead.
+//  2. Each shard, in index order, fires its events with when < T+lookahead.
 //     Same-shard scheduling (EngineShard.At) is unrestricted; cross-shard
-//     messages (EngineShard.Post) are buffered in per-shard outboxes and
-//     must satisfy when >= T+lookahead — a violation panics, because it
-//     means the model lied about its lookahead.
-//  3. Outboxes are drained in shard order, sorted by (when, order), and
-//     merged into the destination queues; repeat.
+//     messages (EngineShard.Post) must satisfy when >= T+lookahead — a
+//     violation panics, because it means the model lied about its
+//     lookahead — and go straight into the destination shard's queue.
+//     The destination cannot fire them inside this window, whether it
+//     already ran the window or runs it later.
+//  3. Repeat.
+//
+// The engine starts no goroutines. The modeled barrier workloads carry
+// only a handful of events per window, far too few to pay for starting
+// and joining goroutines on every window: run concurrently, every sharded
+// configuration was slower than the sequential engine on every host
+// measured. What the shards keep is the partition itself, which the
+// models' message-accurate design and the determinism tests rest on.
 //
 // Determinism: every event carries a model-supplied order key, and each
-// shard fires in (when, order) order regardless of when a message was
-// merged into its queue. As long as the model (a) keys events with
-// (when, order) pairs that are unique per destination shard and (b)
-// derives the keys from simulation state only (e.g. source-rank counters),
-// the complete run — every callback, in order, per shard — is independent
-// of the shard count and of host scheduling. A single-shard ParallelEngine
-// therefore serves as the sequential golden reference for any shard count,
-// and the cross-shard determinism tests assert exactly that.
+// shard fires in (when, order) order regardless of which window a message
+// was posted in or which shard ran first. As long as the model (a) keys
+// events with (when, order) pairs that are unique per destination shard
+// and (b) derives the keys from simulation state only (e.g. source-rank
+// counters), the complete run — every callback, in order, per shard — is
+// independent of the shard count. A single-shard ParallelEngine therefore
+// serves as the sequential golden reference for any shard count, and the
+// cross-shard determinism tests assert exactly that.
 //
 // A ParallelEngine must not be copied, for the same reason an Engine must
 // not be.
@@ -48,29 +50,21 @@ type ParallelEngine struct {
 	windowEnd Cycles // exclusive upper bound of the executing window
 	windows   uint64
 	posted    uint64
-	stopped   atomic.Bool
-	batch     []post // reusable merge buffer
-	active    []*EngineShard
+	stopped   bool
 }
 
-// EngineShard is one shard of a ParallelEngine: a private event queue plus
-// an outbox for cross-shard messages. Methods on an EngineShard are safe
-// to call either before Run or from a callback executing on that same
-// shard; calling into a foreign shard mid-window is a data race (the tests
-// run under -race to enforce the discipline).
+// EngineShard is one shard of a ParallelEngine: a private event queue.
+// Methods on an EngineShard may be called before Run or from a callback
+// executing on that same shard; a callback must reach another shard only
+// through Post. Windows never run concurrently, so the race detector
+// cannot catch a callback that reads or writes a foreign shard's state
+// mid-window. The shard-count differential tests do: such a callback sees
+// state that depends on which shards already ran the window, and the
+// per-shard traces stop matching the single-shard reference.
 type EngineShard struct {
-	id     int
-	pe     *ParallelEngine
-	eng    *Engine
-	outbox []post
-}
-
-// post is one buffered cross-shard message.
-type post struct {
-	dst   int
-	when  Cycles
-	order uint64
-	fn    func()
+	id  int
+	pe  *ParallelEngine
+	eng *Engine
 }
 
 // NewParallelEngine builds an engine with the given shard count and
@@ -109,7 +103,7 @@ func (p *ParallelEngine) Now() Cycles { return p.now }
 // Windows reports how many time windows have executed.
 func (p *ParallelEngine) Windows() uint64 { return p.windows }
 
-// Posted reports how many cross-shard messages have been merged.
+// Posted reports how many cross-shard messages have been posted.
 func (p *ParallelEngine) Posted() uint64 { return p.posted }
 
 // Fired reports the total number of events dispatched across all shards.
@@ -131,15 +125,16 @@ func (p *ParallelEngine) Pending() int {
 }
 
 // Stop makes Run return at the next window boundary. Unlike Engine.Stop it
-// does not interrupt the window in flight: shards finish their current
-// window so that the stop point is a consistent cut of the simulation.
-func (p *ParallelEngine) Stop() { p.stopped.Store(true) }
+// does not interrupt the window in flight: every shard finishes the
+// current window, so that the stop point is a consistent cut of the
+// simulation.
+func (p *ParallelEngine) Stop() { p.stopped = true }
 
-// Run executes windows until every shard's queue (and every outbox) is
-// drained or Stop is called, and returns the maximum shard-local time.
+// Run executes windows until every shard's queue is drained or Stop is
+// called, and returns the maximum shard-local time.
 func (p *ParallelEngine) Run() Cycles {
-	p.stopped.Store(false)
-	for !p.stopped.Load() {
+	p.stopped = false
+	for !p.stopped {
 		t, ok := p.nextTime()
 		if !ok {
 			break
@@ -150,9 +145,17 @@ func (p *ParallelEngine) Run() Cycles {
 			end = MaxCycles
 		}
 		p.windowEnd = end
-		p.runWindow(end)
+		for _, s := range p.shards {
+			if t == MaxCycles {
+				// The clamped (exclusive) end cannot pass the sentinel,
+				// so fire the events parked there inclusively instead of
+				// spinning forever on an empty window.
+				s.eng.RunUntil(end)
+			} else {
+				s.eng.runBefore(end)
+			}
+		}
 		p.windows++
-		p.flush()
 	}
 	var max Cycles
 	for _, s := range p.shards {
@@ -173,75 +176,6 @@ func (p *ParallelEngine) nextTime() (Cycles, bool) {
 		}
 	}
 	return t, ok
-}
-
-// runWindow fires, on every shard concurrently, the events with
-// timestamps strictly before end. A window with a single active shard
-// runs inline: sparse regions of simulated time cost no goroutines, and
-// a one-shard engine degenerates to a purely sequential loop.
-func (p *ParallelEngine) runWindow(end Cycles) {
-	active := p.active[:0]
-	for _, s := range p.shards {
-		if w, ok := s.eng.PeekWhen(); ok && w < end {
-			active = append(active, s)
-		}
-	}
-	if len(active) == 0 {
-		// Only reachable when pending events sit exactly at MaxCycles: the
-		// overflow clamp cannot push the (exclusive) window end past the
-		// sentinel, so fire them inclusively and sequentially instead of
-		// spinning forever on an empty window.
-		for _, s := range p.shards {
-			s.eng.RunUntil(end)
-		}
-		return
-	}
-	if len(active) == 1 {
-		active[0].eng.runBefore(end)
-		p.active = active[:0]
-		return
-	}
-	var wg sync.WaitGroup
-	for _, s := range active {
-		wg.Add(1)
-		go func(s *EngineShard) {
-			defer wg.Done()
-			s.eng.runBefore(end)
-		}(s)
-	}
-	wg.Wait()
-	p.active = active[:0]
-}
-
-// flush merges every outbox into the destination queues. Outboxes are
-// concatenated in shard order and stably sorted by (when, order), so the
-// destination-queue insertion order — and with it the seq tie-break that
-// backstops duplicate keys — is deterministic for a given shard count.
-func (p *ParallelEngine) flush() {
-	batch := p.batch[:0]
-	for _, s := range p.shards {
-		batch = append(batch, s.outbox...)
-		for i := range s.outbox {
-			s.outbox[i].fn = nil // don't pin closures in the spare capacity
-		}
-		s.outbox = s.outbox[:0]
-	}
-	if len(batch) > 1 {
-		sort.SliceStable(batch, func(i, j int) bool {
-			if batch[i].when != batch[j].when {
-				return batch[i].when < batch[j].when
-			}
-			return batch[i].order < batch[j].order
-		})
-	}
-	for _, m := range batch {
-		p.shards[m.dst].eng.AtOrdered(m.when, m.order, m.fn)
-	}
-	p.posted += uint64(len(batch))
-	for i := range batch {
-		batch[i].fn = nil
-	}
-	p.batch = batch[:0]
 }
 
 // ID reports the shard's index.
@@ -266,15 +200,15 @@ func (s *EngineShard) At(when Cycles, order uint64, fn func()) Handle {
 // only be called before Run or from a callback executing on this shard.
 func (s *EngineShard) Cancel(h Handle) bool { return s.eng.Cancel(h) }
 
-// Post schedules fn at when on shard dst. The message is buffered and
-// merged at the end of the current window; when must lie at or beyond the
-// window end (the lookahead guarantee), and a violation panics — it means
-// an event tried to affect another shard within the same window, which the
-// conservative synchronization cannot order.
+// Post schedules fn at when on shard dst, directly in dst's queue. when
+// must lie at or beyond the window end (the lookahead guarantee), and a
+// violation panics — it means an event tried to affect another shard
+// within the same window, which the conservative synchronization cannot
+// order.
 //
-// Posting to the shard itself is allowed (the message simply takes the
-// merge path); models normally use At for shard-local work instead, which
-// also permits delays below the lookahead.
+// Posting to the shard itself is allowed (it is At with the lookahead
+// check); models normally use At for shard-local work instead, which also
+// permits delays below the lookahead.
 func (s *EngineShard) Post(dst int, when Cycles, order uint64, fn func()) {
 	p := s.pe
 	if dst < 0 || dst >= len(p.shards) {
@@ -285,5 +219,6 @@ func (s *EngineShard) Post(dst int, when Cycles, order uint64, fn func()) {
 			"sim: lookahead violation: cross-shard event at %d inside the executing window ending at %d (lookahead %d)",
 			when, p.windowEnd, p.lookahead))
 	}
-	s.outbox = append(s.outbox, post{dst: dst, when: when, order: order, fn: fn})
+	p.shards[dst].eng.AtOrdered(when, order, fn)
+	p.posted++
 }
