@@ -4,7 +4,7 @@ package main
 // BENCH_wheel.json / BENCH_sim.json siblings) against the numbers
 // committed in README.md — the wake-up fabric's ManyBarriers table
 // (including the wheel-only 100k/1M rows and the p999 lateness anchor)
-// and the event-engine ns/op anchors. The comparison is informational by
+// and the simulator's ns/op anchors. The comparison is informational by
 // design — benchmark numbers from shared CI runners are noise, so a
 // drift here should show up in the job log without gating anything (the
 // README rows are medians of repeated runs; see the Performance
@@ -65,10 +65,10 @@ func parseReadmeBench(readme string) []readmeBenchRow {
 // p999-wake-us metric of ManyBarriers/wheel-1000000x16.
 var readmeP999Anchor = regexp.MustCompile(`p999 wake lateness is ([0-9.]+)\s*µs`)
 
-// readmeEngineAnchors extracts the event-engine ns/op numbers committed
-// in README.md's "Simulator event engine" section, keyed by the
-// BENCH_sim.json result name each one is recorded under. Anchors that
-// the README no longer states are simply absent.
+// readmeEngineAnchors extracts the simulator ns/op numbers committed in
+// README.md's Performance section, keyed by the BENCH_sim.json result name
+// each one is recorded under. Anchors that the README no longer states
+// are simply absent.
 var readmeEngineAnchors = []struct {
 	result string
 	re     *regexp.Regexp
@@ -93,6 +93,9 @@ var readmeEngineAnchors = []struct {
 	// "| after (own-L2 walk, O(1) dirty count) | 26566 | 32 |" — one
 	// node's re-dirty and flush-before-sleep, in ns/op.
 	{"CoherenceFlushForSleep", regexp.MustCompile(`\|\s*after \(own-L2 walk[^|]*\|\s*([0-9.]+)\s*\|`)},
+	// "| full experiment cell (`PaperCell/fmm-thrifty`) | 66000000 | …" —
+	// one Build → NewMachine → Run cell of the Figure 5/6 matrix, in ns/op.
+	{"PaperCell/fmm-thrifty", regexp.MustCompile(`\|\s*full experiment cell[^|]*\|\s*([0-9.]+)\s*\|`)},
 }
 
 // loadSuite reads one BENCH_*.json and returns a lookup by result name.
@@ -190,9 +193,9 @@ func diffBenchReadme(jsonPath, readmePath string, w io.Writer) error {
 		}
 	}
 
-	// Event-engine side: BENCH_sim.json is written next to
-	// BENCH_runtime.json by -bench-json, and the README states three
-	// ns/op anchors for it.
+	// Simulator side: BENCH_sim.json is written next to
+	// BENCH_runtime.json by -bench-json, and the README states its anchors
+	// (engine, coherence, core machine and full experiment cell).
 	simPath := filepath.Join(filepath.Dir(jsonPath), "BENCH_sim.json")
 	simLookup, err := loadSuite(simPath)
 	if err != nil {

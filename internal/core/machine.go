@@ -225,6 +225,7 @@ type Machine struct {
 	rng    *sim.RNG
 
 	prog     Program
+	refs     []cpu.Ref // the segment reference buffer, reused for every segment
 	episodes map[int]*episode
 	brts     []sim.Cycles // per-thread local release timestamps (§3.2.1)
 	finish   []sim.Cycles
@@ -388,7 +389,7 @@ func (m *Machine) startPhase(t, k int, at sim.Cycles) {
 	if m.opts.DVFS {
 		dur = m.runSegmentDVFS(t, k, at, spec)
 	} else {
-		dur = m.cpus[t].RunSegment(at, spec.Segment(t))
+		dur = m.cpus[t].RunSegment(at, m.segment(spec, t))
 	}
 	if spec.PreemptThread == t && spec.PreemptDelay > 0 {
 		// The OS preempts this thread mid-phase (§3.4.2); the CPU runs
@@ -414,6 +415,15 @@ func (m *Machine) startPhase(t, k int, at sim.Cycles) {
 	m.engine.At(arrive, func() { m.arrive(t, k, arrive) })
 }
 
+// segment produces thread t's segment of spec into the machine's reference
+// buffer, keeping the grown buffer for the next segment. The segment is
+// valid until the next call.
+func (m *Machine) segment(spec PhaseSpec, t int) cpu.Segment {
+	seg := spec.Segment(t, m.refs[:0])
+	m.refs = seg.Refs
+	return seg
+}
+
 // runSegmentDVFS picks a frequency from the predicted slack — the
 // interval prediction says when the barrier will release; the per-thread
 // compute predictor says how much work lies ahead — runs the segment
@@ -434,7 +444,7 @@ func (m *Machine) runSegmentDVFS(t, k int, at sim.Cycles, spec PhaseSpec) sim.Cy
 			}
 		}
 	}
-	dur, baseEquiv := m.cpus[t].RunSegmentDVFS(at, spec.Segment(t), f, budget)
+	dur, baseEquiv := m.cpus[t].RunSegmentDVFS(at, m.segment(spec, t), f, budget)
 	m.bst.Update(spec.PC, t, baseEquiv)
 	if f < 1 {
 		m.stats.DVFSScaled++

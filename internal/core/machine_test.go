@@ -213,14 +213,9 @@ func TestBalancedProgramNearBaseline(t *testing.T) {
 func TestNonRepeatingBarriersNeverSleep(t *testing.T) {
 	// FFT/Cholesky behaviour: every instance has a distinct PC, so the
 	// PC-indexed predictor stays cold and Thrifty behaves like Baseline.
-	prog := make(SliceProgram, 6)
+	prog := UniformProgram(0, 6, imbalancedWork(100_000, 300_000))
 	for i := range prog {
-		i := i
-		prog[i] = PhaseSpec{
-			PC:            uint64(0x1000 + i*8),
-			Segment:       func(th int) cpu.Segment { return imbalancedWork(100_000, 300_000)(i, th) },
-			PreemptThread: -1,
-		}
+		prog[i].PC = uint64(0x1000 + i*8)
 	}
 	res := runProg(t, testArch(), Thrifty(), prog, false)
 	total := 0
@@ -368,16 +363,7 @@ func TestExternalWakeupBoundsLateness(t *testing.T) {
 }
 
 func TestPreemptionInflatesOneInterval(t *testing.T) {
-	prog := make(SliceProgram, 8)
-	work := imbalancedWork(100_000, 100_000)
-	for i := range prog {
-		i := i
-		prog[i] = PhaseSpec{
-			PC:            0x100,
-			Segment:       func(th int) cpu.Segment { return work(i, th) },
-			PreemptThread: -1,
-		}
-	}
+	prog := UniformProgram(0x100, 8, imbalancedWork(100_000, 100_000))
 	// Preempt thread 3 in phase 4 for 2ms.
 	prog[4].PreemptThread = 3
 	prog[4].PreemptDelay = 2 * sim.Millisecond
@@ -392,16 +378,7 @@ func TestPreemptionInflatesOneInterval(t *testing.T) {
 
 func TestUnderpredictionFilterProtectsTable(t *testing.T) {
 	mk := func(filter float64) (normal, poisoned Result) {
-		prog := make(SliceProgram, 12)
-		work := imbalancedWork(100_000, 200_000)
-		for i := range prog {
-			i := i
-			prog[i] = PhaseSpec{
-				PC:            0x100,
-				Segment:       func(th int) cpu.Segment { return work(i, th) },
-				PreemptThread: -1,
-			}
-		}
+		prog := UniformProgram(0x100, 12, imbalancedWork(100_000, 200_000))
 		prog[5].PreemptThread = 3
 		prog[5].PreemptDelay = 20 * sim.Millisecond
 		opts := Thrifty()

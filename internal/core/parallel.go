@@ -68,6 +68,7 @@ type ParallelMachine struct {
 	regions []*pregion
 
 	prog    Program
+	refs    []cpu.Ref // the segment reference buffer, reused for every segment
 	pcs     map[uint64]*pcMeta
 	nextPC  uint64
 	record  bool
@@ -553,7 +554,11 @@ func (m *ParallelMachine) startPhase(t, k int, at sim.Cycles) {
 		return
 	}
 	spec := m.prog.Phase(k)
-	dur := nd.cpu.RunSegment(at, spec.Segment(t))
+	// Every shard runs on the caller's goroutine, so one buffer serves all
+	// CPUs; RunSegment consumes the references before returning.
+	seg := spec.Segment(t, m.refs[:0])
+	m.refs = seg.Refs
+	dur := nd.cpu.RunSegment(at, seg)
 	if spec.PreemptThread == t && spec.PreemptDelay > 0 {
 		nd.cpu.ChargeCompute(spec.PreemptDelay)
 		dur += spec.PreemptDelay

@@ -21,7 +21,11 @@ type PhaseSpec struct {
 	// §3.2). Distinct dynamic instances of the same loop share a PC.
 	PC uint64
 	// Segment generates the compute work thread t performs before arriving.
-	Segment func(thread int) cpu.Segment
+	// It appends the thread's sampled references to refs and returns the
+	// segment with Refs set to the result, so the machines can pass one
+	// reused buffer (refs[:0]) and consume the segment before the next
+	// call. Callers that keep the segment pass nil.
+	Segment func(thread int, refs []cpu.Ref) cpu.Segment
 	// PreemptThread, if >= 0, injects an OS preemption of PreemptDelay into
 	// that thread's compute for this instance (§3.4.2 scenarios).
 	PreemptThread int
@@ -40,14 +44,19 @@ func (p SliceProgram) Phase(i int) PhaseSpec { return p[i] }
 
 // UniformProgram builds a simple test program: instances dynamic barrier
 // instances of a single static barrier (pc), each preceded by compute whose
-// duration per thread is produced by work.
+// duration per thread is produced by work. work's references are appended
+// to the caller's buffer.
 func UniformProgram(pc uint64, instances int, work func(instance, thread int) cpu.Segment) SliceProgram {
 	prog := make(SliceProgram, instances)
 	for i := range prog {
 		i := i
 		prog[i] = PhaseSpec{
-			PC:            pc,
-			Segment:       func(t int) cpu.Segment { return work(i, t) },
+			PC: pc,
+			Segment: func(t int, refs []cpu.Ref) cpu.Segment {
+				seg := work(i, t)
+				seg.Refs = append(refs, seg.Refs...)
+				return seg
+			},
 			PreemptThread: -1,
 		}
 	}

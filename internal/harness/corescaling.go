@@ -71,14 +71,13 @@ func CoreScalingProgram(seed uint64, nodes, phases int) core.Program {
 		prog[i] = core.PhaseSpec{
 			PC:            uint64(0x500 + i%3),
 			PreemptThread: -1,
-			Segment: func(t int) cpu.Segment {
+			Segment: func(t int, refs []cpu.Ref) cpu.Segment {
 				r := pr.Split(uint64(t))
 				insns := int64(float64(base) * (1 + 0.02*(2*r.Float64()-1)))
 				if t == straggler {
 					insns += 2 * insns / 5 // Table 2 imbalance: ~40% straggler
 				}
 				local := t % coreScalingRegion
-				refs := make([]cpu.Ref, 0, 12)
 				for j := 0; j < 8; j++ {
 					refs = append(refs, cpu.Ref{
 						Addr:  regionPlace.PrivateAddr(local, uint64(0x10000+j*64+i*4096)),

@@ -9,8 +9,8 @@
 // fabric (the sharded timing wheel's many-barrier arm/cancel sweep up to
 // a million resident barriers, with tail-lateness quantiles), and the
 // simulator (event-engine schedule/fire steady state, which must stay
-// allocation-free, the coherence protocol's flush-before-sleep, and the
-// sharded core machine).
+// allocation-free, the coherence protocol's flush-before-sleep, the
+// sharded core machine, and one full cell of the paper's matrix).
 package microbench
 
 import (
@@ -26,6 +26,7 @@ import (
 	"thriftybarrier/internal/mem/dram"
 	"thriftybarrier/internal/mem/noc"
 	"thriftybarrier/internal/sim"
+	"thriftybarrier/internal/workload"
 	"thriftybarrier/thrifty"
 )
 
@@ -158,7 +159,7 @@ func WheelSpecs() []Spec {
 }
 
 // SimSpecs is the simulator half of the suite: event engine, coherence
-// model, core machine.
+// model, core machine, full experiment.
 func SimSpecs() []Spec {
 	return []Spec{
 		{"EngineScheduleFire/empty", EngineScheduleFire(0)},
@@ -172,6 +173,7 @@ func SimSpecs() []Spec {
 		{"ParallelCore/shards-1", ParallelCoreEvents(1)},
 		{"ParallelCore/shards-4", ParallelCoreEvents(4)},
 		{"ParallelCore/shards-8", ParallelCoreEvents(8)},
+		{"PaperCell/fmm-thrifty", PaperCell(workload.FMM(), core.Thrifty())},
 	}
 }
 
@@ -384,6 +386,20 @@ func ParallelCoreEvents(shards int) func(*testing.B) {
 		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(events), "ns/event")
 		if windows > 0 { // the sequential engine has no windows
 			b.ReportMetric(float64(events)/float64(windows), "events/window")
+		}
+	}
+}
+
+// PaperCell runs one cell of the paper's Figure 5/6 matrix per op, as the
+// harness does: build the application's program at seed 1, build the
+// 64-CPU machine, run it. It is the full-experiment layer above the
+// machine event.
+func PaperCell(spec workload.Spec, opts core.Options) func(*testing.B) {
+	return func(b *testing.B) {
+		b.ReportAllocs()
+		arch := core.DefaultArch()
+		for i := 0; i < b.N; i++ {
+			core.NewMachine(arch, opts).Run(spec.Build(arch.Nodes, 1))
 		}
 	}
 }

@@ -207,6 +207,12 @@ type Protocol struct {
 	dir   map[uint64]*dirEntry
 	gated []bool
 
+	// free holds directory entries whose lines went back to uncached,
+	// reset and ready for entry to reuse: lines are cached and dropped on
+	// every fill, eviction and flush, so recycling keeps that churn off
+	// the heap.
+	free []*dirEntry
+
 	monitors map[monitorKey]func(sim.Cycles)
 
 	// lines is FlushForSleep's reused line buffer: the flushed lines, then
@@ -271,10 +277,25 @@ func (p *Protocol) LineAddr(addr uint64) uint64 {
 func (p *Protocol) entry(line uint64) *dirEntry {
 	e := p.dir[line]
 	if e == nil {
-		e = &dirEntry{state: dirUncached}
+		if n := len(p.free); n > 0 {
+			e = p.free[n-1]
+			p.free = p.free[:n-1]
+		} else {
+			e = &dirEntry{state: dirUncached}
+		}
 		p.dir[line] = e
 	}
 	return e
+}
+
+// uncache returns line to uncached: it removes the line's directory entry
+// e, resets it and keeps it for reuse. No caller may hold e afterwards.
+func (p *Protocol) uncache(line uint64, e *dirEntry) {
+	delete(p.dir, line)
+	e.state = dirUncached
+	e.owner = 0
+	e.sharers.clear()
+	p.free = append(p.free, e)
 }
 
 // Monitor registers a cache-controller flag monitor on node for the line
@@ -348,11 +369,11 @@ func (p *Protocol) evictFromDirectory(node int, line uint64, dirty bool) {
 	case dirShared:
 		e.sharers.remove(node)
 		if e.sharers.empty() {
-			delete(p.dir, line)
+			p.uncache(line, e)
 		}
 	case dirExclusive:
 		if e.owner == node {
-			delete(p.dir, line)
+			p.uncache(line, e)
 			if dirty {
 				p.stats.Writebacks++
 				p.mems[p.place.Home(line)].Access(line)
@@ -584,7 +605,9 @@ func (p *Protocol) FlushForSleep(node int, now sim.Cycles) (lines int, latency s
 		if l := p.net.Latency(node, home, p.cfg.DataBytes); l > maxNet {
 			maxNet = l
 		}
-		delete(p.dir, line) // back to uncached
+		if e := p.dir[line]; e != nil {
+			p.uncache(line, e)
+		}
 		p.stats.Writebacks++
 		p.stats.FlushedLines++
 	}

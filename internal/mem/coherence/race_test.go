@@ -8,35 +8,35 @@ import (
 	"thriftybarrier/internal/mem/noc"
 )
 
-// The sharded core machine partitions the CC-NUMA memory system into one
-// Protocol instance per NoC region and drives them from concurrent
-// engine shards, with one global noc.Network shared by every shard for
-// cross-region latency math. This test reproduces that sharing shape —
-// two fully independent region protocols plus a shared global network —
-// under concurrent load, so `go test -race` proves the audit result:
-// protocol, cache, and DRAM counters are region-local (never shared
-// across shards) and the network's traffic statistics are atomic.
+// Concurrent machines share nothing: the harness's -j workers each build
+// their own machine, and a sharded machine runs its region protocols on
+// one goroutine. This test drives two region protocols from two goroutines,
+// each with its own network for the cross-region legs, so `go test -race`
+// proves that protocol, cache, DRAM and network state is per-instance:
+// nothing a goroutine touches belongs to another.
 func TestRegionProtocolsConcurrent(t *testing.T) {
-	const regionNodes = 8
+	const (
+		regionNodes = 8
+		accesses    = 2000
+	)
 	rcfg := DefaultConfig()
 	rcfg.Nodes = regionNodes
 	ncfg := noc.DefaultConfig()
 	ncfg.Nodes = regionNodes
 
-	global := noc.New(noc.DefaultConfig()) // 64-node fabric shared by both "shards"
-
 	newRegion := func() *Protocol {
 		return New(rcfg, noc.New(ncfg), dram.NewPlacement(regionNodes, 4096))
 	}
 	regions := []*Protocol{newRegion(), newRegion()}
+	fabrics := []*noc.Network{noc.New(noc.DefaultConfig()), noc.New(noc.DefaultConfig())}
 
 	var wg sync.WaitGroup
-	for r, proto := range regions {
+	for r := range regions {
 		wg.Add(1)
-		go func(r int, p *Protocol) {
+		go func(r int, p *Protocol, fabric *noc.Network) {
 			defer wg.Done()
 			base := uint64(r) << 32
-			for i := 0; i < 2000; i++ {
+			for i := 0; i < accesses; i++ {
 				node := i % regionNodes
 				addr := base + uint64(i%64)*64
 				if i%3 == 0 {
@@ -44,24 +44,23 @@ func TestRegionProtocolsConcurrent(t *testing.T) {
 				} else {
 					p.Read(node, addr, 0)
 				}
-				// The cross-region legs the sharded machine prices on the
-				// shared fabric.
-				global.Latency(r*regionNodes+node, (1-r)*regionNodes+node, 8)
+				// A cross-region leg, priced on this goroutine's own
+				// 64-node fabric.
+				fabric.Latency(r*regionNodes+node, (1-r)*regionNodes+node, 8)
 				if i%101 == 0 {
 					p.SetGated(node, true)
 					p.FlushForSleep(node, 0)
 					p.SetGated(node, false)
 				}
 			}
-		}(r, proto)
+		}(r, regions[r], fabrics[r])
 	}
 	wg.Wait()
 
-	msgs, flits := global.Stats()
-	if msgs != 4000 || flits == 0 {
-		t.Errorf("global network stats lost updates: messages=%d flits=%d, want 4000 messages", msgs, flits)
-	}
 	for r, p := range regions {
+		if msgs, flits := fabrics[r].Stats(); msgs != accesses || flits != accesses {
+			t.Errorf("region %d fabric: messages=%d flits=%d, want %d of each", r, msgs, flits, accesses)
+		}
 		s := p.Stats()
 		if s.Reads == 0 || s.Writes == 0 {
 			t.Errorf("region %d: counters empty: %+v", r, s)

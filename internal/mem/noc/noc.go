@@ -8,7 +8,6 @@ package noc
 import (
 	"fmt"
 	"math/bits"
-	"sync/atomic"
 
 	"thriftybarrier/internal/sim"
 )
@@ -57,15 +56,17 @@ func (c Config) Validate() error {
 
 // Network computes message latencies over the hypercube. It is stateless
 // apart from traffic statistics (the paper's network is modeled
-// contention-free: wormhole pipelined latency only). The statistics are
-// atomic so that the parallel engine's shards can compute latencies
-// concurrently; the latency math itself reads only immutable configuration.
+// contention-free: wormhole pipelined latency only). A Network belongs to
+// one machine and is used from one goroutine: the parallel engine runs
+// every shard on the goroutine that called Run, and concurrent machines
+// (the harness's -j workers) each build their own. The statistics are
+// therefore plain counters.
 type Network struct {
 	cfg Config
 	dim int
 
-	messages atomic.Uint64
-	flits    atomic.Uint64
+	messages  uint64
+	flitCount uint64
 }
 
 // New builds a network, panicking on invalid static configuration.
@@ -93,30 +94,25 @@ func (n *Network) Hops(src, dst int) int {
 
 // Latency returns the end-to-end latency of a message of payloadBytes from
 // src to dst: marshal + hops*pinToPin + serialization of extra flits +
-// unmarshal. A node messaging itself pays no network latency.
+// unmarshal. A node messaging itself pays no network latency. Every
+// inter-node message counts toward the traffic statistics.
 func (n *Network) Latency(src, dst, payloadBytes int) sim.Cycles {
-	if src == dst {
-		n.checkNode(src)
+	hops := n.Hops(src, dst)
+	if hops == 0 {
 		return 0
 	}
-	hops := n.Hops(src, dst)
-	flits := 1
-	if payloadBytes > 0 {
-		flits = (payloadBytes + n.cfg.FlitBytes - 1) / n.cfg.FlitBytes
-	}
-	n.messages.Add(1)
-	n.flits.Add(uint64(flits))
-	lat := 2*n.cfg.Endpoint + sim.Cycles(hops)*n.cfg.PinToPin
-	// Wormhole: body flits pipeline behind the head, adding one flit time
-	// each at the bottleneck link.
-	lat += sim.Cycles(flits-1) * n.cfg.FlitCycle
-	return lat
+	flits := n.flits(payloadBytes)
+	n.messages++
+	n.flitCount += uint64(flits)
+	return n.latency(hops, flits)
 }
 
 // MaxLatency returns the worst-case (antipodal) latency for a message of
 // payloadBytes — used for conservative bounds in tests and documentation.
+// It does not count toward traffic statistics (no message is modeled as
+// sent).
 func (n *Network) MaxLatency(payloadBytes int) sim.Cycles {
-	return n.Latency(0, n.cfg.Nodes-1, payloadBytes)
+	return n.latency(n.dim, n.flits(payloadBytes))
 }
 
 // MinLatency returns the latency of a one-hop message of payloadBytes —
@@ -124,15 +120,31 @@ func (n *Network) MaxLatency(payloadBytes int) sim.Cycles {
 // lookahead floor of the parallel engine's conservative windows. It does
 // not count toward traffic statistics (no message is modeled as sent).
 func (n *Network) MinLatency(payloadBytes int) sim.Cycles {
-	flits := 1
-	if payloadBytes > 0 {
-		flits = (payloadBytes + n.cfg.FlitBytes - 1) / n.cfg.FlitBytes
+	return n.latency(1, n.flits(payloadBytes))
+}
+
+// flits returns how many link-width flits carry payloadBytes (at least the
+// head flit).
+func (n *Network) flits(payloadBytes int) int {
+	if payloadBytes <= 0 {
+		return 1
 	}
-	return 2*n.cfg.Endpoint + n.cfg.PinToPin + sim.Cycles(flits-1)*n.cfg.FlitCycle
+	return (payloadBytes + n.cfg.FlitBytes - 1) / n.cfg.FlitBytes
+}
+
+// latency is the pure latency of a message of flits flits over hops hops;
+// zero hops is a node messaging itself, which costs nothing. Wormhole: body
+// flits pipeline behind the head, adding one flit time each at the
+// bottleneck link.
+func (n *Network) latency(hops, flits int) sim.Cycles {
+	if hops == 0 {
+		return 0
+	}
+	return 2*n.cfg.Endpoint + sim.Cycles(hops)*n.cfg.PinToPin + sim.Cycles(flits-1)*n.cfg.FlitCycle
 }
 
 // Stats reports total messages and flits carried.
-func (n *Network) Stats() (messages, flits uint64) { return n.messages.Load(), n.flits.Load() }
+func (n *Network) Stats() (messages, flits uint64) { return n.messages, n.flitCount }
 
 func (n *Network) checkNode(id int) {
 	if id < 0 || id >= n.cfg.Nodes {

@@ -136,3 +136,26 @@ func TestStats(t *testing.T) {
 		t.Errorf("flits = %d, want 5", flits)
 	}
 }
+
+func TestBoundsCountNoTraffic(t *testing.T) {
+	n := New(DefaultConfig())
+	hi, lo := n.MaxLatency(72), n.MinLatency(72)
+	n.Latency(5, 5, 72) // a node messaging itself sends no message
+	if msgs, flits := n.Stats(); msgs != 0 || flits != 0 {
+		t.Fatalf("Stats() = %d messages, %d flits after MaxLatency, MinLatency and a self-message; want 0, 0", msgs, flits)
+	}
+	if want := n.Latency(0, 63, 72); hi != want {
+		t.Errorf("MaxLatency(72) = %v, want the antipodal latency %v", hi, want)
+	}
+	if want := n.Latency(0, 1, 72); lo != want {
+		t.Errorf("MinLatency(72) = %v, want the one-hop latency %v", lo, want)
+	}
+}
+
+func TestSingleNodeMaxLatencyIsZero(t *testing.T) {
+	c := DefaultConfig()
+	c.Nodes = 1
+	if l := New(c).MaxLatency(72); l != 0 {
+		t.Fatalf("1-node MaxLatency = %v, want 0 (the antipode is the node itself)", l)
+	}
+}

@@ -2,8 +2,6 @@ package mp
 
 import (
 	"fmt"
-	"sync"
-	"sync/atomic"
 
 	"thriftybarrier/internal/energy"
 	"thriftybarrier/internal/power"
@@ -144,12 +142,11 @@ func (m *Machine) RunParallel(prog Program, shards int) ParallelResult {
 	return res
 }
 
-// prun is the state of one RunParallel invocation. It deliberately shares
-// nothing mutable with the Machine: per-rank state (brts, timelines,
-// finish) is touched only by that rank's events, which all execute on the
-// rank's owner shard; cross-rank state is either confined to one shard by
-// construction (fold state lives on the folding rank's owner) or guarded
-// (the episode map, the predictor table).
+// prun is the state of one RunParallel invocation. It shares nothing
+// mutable with the Machine. The parallel engine fires every shard's events
+// on the goroutine that called Run, so prun needs no locks or atomics: the
+// episode map and the predictor table are plain, and event order alone
+// keeps every access deterministic at any shard count.
 type prun struct {
 	m      *Machine
 	pe     *sim.ParallelEngine
@@ -157,21 +154,18 @@ type prun struct {
 	owner  []int    // owner[r] = shard executing rank r's events
 	orderC []uint32 // per-rank order-key counters (only rank r's events touch r's)
 
-	// table is guarded by tableMu. Within one window the only operations
-	// that can actually contend are commutative (per-rank Disable bits and
-	// per-rank Enabled reads): Update happens-after every same-episode
-	// Predict (the resolver is causally last — see resolveTree/arrive), and
-	// next-episode Predicts are at least a release delivery later, which is
-	// more than a full window away. The mutex is therefore for memory
-	// safety, not ordering — ordering is already deterministic.
-	tableMu sync.Mutex
-	table   *predict.Table
+	// table is the run-local predictor. Within one window the only
+	// operations on it that can reorder across shard counts are
+	// commutative (per-rank Disable bits and per-rank Enabled reads):
+	// Update comes after every same-episode Predict (the resolver is
+	// causally last — see resolveTree/arrive), and next-episode Predicts
+	// are at least a release delivery later, more than a full window away.
+	table *predict.Table
 
 	brts   []sim.Cycles
 	tl     []*sim.Timeline
 	finish []sim.Cycles
 
-	epMu     sync.Mutex
 	episodes map[int]*pepisode
 
 	// Per-shard accumulators, merged after the run; sums are invariant to
@@ -185,16 +179,17 @@ type prun struct {
 type pepisode struct {
 	phase int
 	pc    uint64
-	// arrived is the dissemination trigger: the final Add observes every
-	// earlier rank's arrivalAt write and waiter registration.
-	arrived  atomic.Int32
-	departed atomic.Int32
+	// arrived counts arrivals; the last one triggers dissemination, after
+	// every rank's arrivalAt write and waiter registration. departed counts
+	// departures; the last one retires the episode.
+	arrived  int
+	departed int
 	// Tree fold state: subtreeAt[r]/pending[r] are touched only by fold
 	// events executing on r's owner shard.
 	subtreeAt []sim.Cycles
 	pending   []int32
 	// arrivalAt[r] is written by rank r's arrive, read by the resolver
-	// (which happens-after every arrival in both collectives).
+	// (which runs after every arrival in both collectives).
 	arrivalAt []sim.Cycles
 	ws        []pwaiter // indexed by rank; each entry owned by its rank's shard
 }
@@ -263,8 +258,6 @@ func (p *prun) startPhase(r, k int, atTime sim.Cycles) {
 }
 
 func (p *prun) episodeFor(k int) *pepisode {
-	p.epMu.Lock()
-	defer p.epMu.Unlock()
 	ep := p.episodes[k]
 	if ep == nil {
 		n := p.m.cfg.Nodes
@@ -302,10 +295,11 @@ func (p *prun) arrive(r, k int, now sim.Cycles) {
 	}
 	ep.arrivalAt[r] = now
 	if p.m.cfg.Algorithm == DisseminationBarrier {
-		// The final Add happens-after every other rank's waiter
+		// The final arrival comes after every other rank's waiter
 		// registration and Predict, so the resolver's table update and
-		// state reads are both safe and deterministically ordered.
-		if ep.arrived.Add(1) == int32(p.m.cfg.Nodes) {
+		// state reads are deterministically ordered.
+		ep.arrived++
+		if ep.arrived == p.m.cfg.Nodes {
 			p.resolveDissemination(ep, r)
 		}
 		return
@@ -375,9 +369,7 @@ func (p *prun) resolve(ep *pepisode, src int, release, bit sim.Cycles, recv func
 	sh := p.owner[src]
 	p.stats[sh].Episodes++
 	if len(p.m.opts.States) > 0 && !p.m.opts.Oracle {
-		p.tableMu.Lock()
 		p.table.Update(ep.pc, bit)
-		p.tableMu.Unlock()
 	}
 	n := p.m.cfg.Nodes
 	var lastArr, lastRecv sim.Cycles
@@ -407,14 +399,12 @@ func (p *prun) resolve(ep *pepisode, src int, release, bit sim.Cycles, recv func
 // decideSleep mirrors Machine.decideSleep against the run-local table.
 func (p *prun) decideSleep(ep *pepisode, r int, w *pwaiter, now sim.Cycles) {
 	sh := p.owner[r]
-	p.tableMu.Lock()
 	enabled := p.table.Enabled(ep.pc, r)
 	var bit sim.Cycles
 	var ok bool
 	if enabled {
 		bit, ok = p.table.Predict(ep.pc)
 	}
-	p.tableMu.Unlock()
 	if !enabled || !ok {
 		p.stats[sh].Spins++
 		return
@@ -545,16 +535,13 @@ func (p *prun) depart(ep *pepisode, r int, w *pwaiter, dep, release, bit, recvAt
 		skew := recvAt - release
 		penalty := w.wokeReady - (p.brts[r] + skew)
 		if float64(penalty) > p.m.opts.Cutoff*float64(bit) {
-			p.tableMu.Lock()
 			p.table.Disable(ep.pc, r)
-			p.tableMu.Unlock()
 			p.stats[p.owner[r]].Disables++
 		}
 	}
-	if ep.departed.Add(1) == int32(p.m.cfg.Nodes) {
-		p.epMu.Lock()
+	ep.departed++
+	if ep.departed == p.m.cfg.Nodes {
 		delete(p.episodes, ep.phase)
-		p.epMu.Unlock()
 	}
 	p.startPhase(r, ep.phase+1, dep)
 }

@@ -194,8 +194,9 @@ func newPhaseGen(b BarrierSpec, nodes, instance int, rng *sim.RNG) *phaseGen {
 	return g
 }
 
-// segment builds thread t's compute work for this instance.
-func (g *phaseGen) segment(t int) cpu.Segment {
+// segment builds thread t's compute work for this instance, appending its
+// references to refs.
+func (g *phaseGen) segment(t int, refs []cpu.Ref) cpu.Segment {
 	b := g.spec
 	// Per-thread jitter derived from a thread-specific stream so that
 	// calling order does not matter.
@@ -213,24 +214,19 @@ func (g *phaseGen) segment(t int) cpu.Segment {
 		}
 	}
 
-	seg := cpu.Segment{Instructions: int64(insns)}
-	nRefs := b.DirtyLines + b.SharedReads
-	if nRefs > 0 {
-		seg.Refs = make([]cpu.Ref, 0, nRefs)
-		// Each thread's dirty working set: a fixed per-thread region, so
-		// lines are re-dirtied every phase. After a gated sleep's flush
-		// they come back as compulsory misses (§5.2).
-		for i := 0; i < b.DirtyLines; i++ {
-			addr := uint64(1)<<45 | uint64(t)<<24 | uint64(i*64)
-			seg.Refs = append(seg.Refs, cpu.Ref{Addr: addr, Write: true})
-		}
-		// Shared reads spread over a region touched by all threads.
-		for i := 0; i < b.SharedReads; i++ {
-			addr := uint64(1)<<46 | uint64((g.instance*131+i*7+t)%4096)<<6
-			seg.Refs = append(seg.Refs, cpu.Ref{Addr: addr})
-		}
+	// Each thread's dirty working set: a fixed per-thread region, so lines
+	// are re-dirtied every phase. After a gated sleep's flush they come
+	// back as compulsory misses (§5.2).
+	for i := 0; i < b.DirtyLines; i++ {
+		addr := uint64(1)<<45 | uint64(t)<<24 | uint64(i*64)
+		refs = append(refs, cpu.Ref{Addr: addr, Write: true})
 	}
-	return seg
+	// Shared reads spread over a region touched by all threads.
+	for i := 0; i < b.SharedReads; i++ {
+		addr := uint64(1)<<46 | uint64((g.instance*131+i*7+t)%4096)<<6
+		refs = append(refs, cpu.Ref{Addr: addr})
+	}
+	return cpu.Segment{Instructions: int64(insns), Refs: refs}
 }
 
 // BarrierProfile summarizes one static barrier's dynamic behaviour in a
@@ -259,7 +255,7 @@ func Profile(prog core.SliceProgram, threads int) []BarrierProfile {
 		p.Instances++
 		var sum int64
 		for t := 0; t < threads; t++ {
-			sum += spec.Segment(t).Instructions
+			sum += spec.Segment(t, nil).Instructions
 		}
 		p.MeanInstr += float64(sum) / float64(threads)
 	}

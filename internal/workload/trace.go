@@ -105,13 +105,13 @@ func BuildTrace(phases []TracePhase, ipc float64) (core.SliceProgram, error) {
 		}
 		prog[i] = core.PhaseSpec{
 			PC: ph.PC,
-			Segment: func(t int) cpu.Segment {
+			Segment: func(t int, refs []cpu.Ref) cpu.Segment {
 				// µs -> cycles at 1 GHz -> instructions at the given IPC.
 				insns := int64(ph.DurationsUS[t] * 1000 * ipc)
 				if insns < 1 {
 					insns = 1
 				}
-				return cpu.Segment{Instructions: insns}
+				return cpu.Segment{Instructions: insns, Refs: refs}
 			},
 			PreemptThread: -1,
 		}

@@ -76,7 +76,7 @@ func TestBuildTraceDurationFidelity(t *testing.T) {
 	// traced microseconds at the configured IPC.
 	phases, _ := ParseTrace(strings.NewReader("1, 100, 100"))
 	prog, _ := BuildTrace(phases, 2.0)
-	seg := prog.Phase(0).Segment(0)
+	seg := prog.Phase(0).Segment(0, nil)
 	// 100us at 1GHz = 100_000 cycles; at IPC 2 that is 200_000 insns.
 	if seg.Instructions != 200_000 {
 		t.Fatalf("instructions = %d, want 200000", seg.Instructions)

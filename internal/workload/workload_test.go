@@ -70,8 +70,8 @@ func TestBuildDeterminism(t *testing.T) {
 	b := s.Build(8, 42)
 	for i := 0; i < a.Phases(); i++ {
 		for th := 0; th < 8; th++ {
-			sa := a.Phase(i).Segment(th)
-			sb := b.Phase(i).Segment(th)
+			sa := a.Phase(i).Segment(th, nil)
+			sb := b.Phase(i).Segment(th, nil)
 			if sa.Instructions != sb.Instructions {
 				t.Fatalf("phase %d thread %d: %d vs %d insns", i, th, sa.Instructions, sb.Instructions)
 			}
@@ -83,7 +83,7 @@ func TestBuildDeterminism(t *testing.T) {
 	// Segment generation is idempotent (core may call it once, but the
 	// contract is pure).
 	p := a.Phase(3)
-	if p.Segment(2).Instructions != p.Segment(2).Instructions {
+	if p.Segment(2, nil).Instructions != p.Segment(2, nil).Instructions {
 		t.Fatal("segment not idempotent")
 	}
 }
@@ -95,7 +95,7 @@ func TestBuildSeedSensitivity(t *testing.T) {
 	same := true
 	for i := 0; i < a.Phases() && same; i++ {
 		for th := 0; th < 8; th++ {
-			if a.Phase(i).Segment(th).Instructions != b.Phase(i).Segment(th).Instructions {
+			if a.Phase(i).Segment(th, nil).Instructions != b.Phase(i).Segment(th, nil).Instructions {
 				same = false
 				break
 			}
@@ -144,7 +144,7 @@ func TestStragglerRotates(t *testing.T) {
 		spec := prog.Phase(it * perIter)
 		maxI, maxV := 0, int64(0)
 		for th := 0; th < 8; th++ {
-			if v := spec.Segment(th).Instructions; v > maxV {
+			if v := spec.Segment(th, nil).Instructions; v > maxV {
 				maxV, maxI = v, th
 			}
 		}
@@ -164,8 +164,8 @@ func TestSwingChangesPhaseLength(t *testing.T) {
 	prog := s.Build(8, 1)
 	perIter := len(s.Loop)
 	// relaxA swings [1, 0.14, ...]: instance 0 long, instance 1 short.
-	long := prog.Phase(0 * perIter).Segment(1).Instructions
-	short := prog.Phase(1 * perIter).Segment(1).Instructions
+	long := prog.Phase(0*perIter).Segment(1, nil).Instructions
+	short := prog.Phase(1*perIter).Segment(1, nil).Instructions
 	if short >= long/3 {
 		t.Fatalf("swing ineffective: long %d, short %d", long, short)
 	}
@@ -174,7 +174,7 @@ func TestSwingChangesPhaseLength(t *testing.T) {
 func TestDirtyLinesProduceWriteRefs(t *testing.T) {
 	s := WaterNsq()
 	prog := s.Build(8, 1)
-	seg := prog.Phase(0).Segment(3)
+	seg := prog.Phase(0).Segment(3, nil)
 	writes := 0
 	for _, r := range seg.Refs {
 		if r.Write {
@@ -189,8 +189,8 @@ func TestDirtyLinesProduceWriteRefs(t *testing.T) {
 func TestDirtyRegionsPerThreadAreDisjoint(t *testing.T) {
 	s := WaterNsq()
 	prog := s.Build(8, 1)
-	a := prog.Phase(0).Segment(0)
-	b := prog.Phase(0).Segment(1)
+	a := prog.Phase(0).Segment(0, nil)
+	b := prog.Phase(0).Segment(1, nil)
 	addrs := map[uint64]bool{}
 	for _, r := range a.Refs {
 		if r.Write {
